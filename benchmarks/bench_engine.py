@@ -1,8 +1,8 @@
 """Engine microbenchmarks: event throughput of the DES substrate.
 
 These are conventional pytest-benchmark measurements (repeated timing)
-of the hot paths every experiment exercises: the event calendar, the
-process machinery and the placement rule.
+of the hot paths every experiment exercises: the event heap, callback
+chains and the placement rule.
 """
 
 from repro.core.placement import worst_fit
@@ -11,65 +11,61 @@ from repro.sim import Simulator
 from repro.workload import das_s_128, das_t_900
 
 
-def test_bench_event_calendar_throughput(benchmark):
-    def run_timeout_storm():
+def test_bench_event_heap_throughput(benchmark):
+    def run_defer_storm():
         sim = Simulator()
+        callbacks = (lambda event: None,)
         for i in range(5_000):
-            sim.timeout(float(i % 97))
+            sim.defer(float(i % 97), callbacks)
         sim.run()
         return sim.events_processed
 
-    events = benchmark(run_timeout_storm)
+    events = benchmark(run_defer_storm)
     assert events == 5_000
 
 
-def test_bench_process_switching(benchmark):
-    def run_ping_pong():
+def test_bench_callback_chain(benchmark):
+    """One self-rescheduling callback: the arrival-source pattern."""
+    def run_chain():
         sim = Simulator()
         count = 0
 
-        def ticker(sim):
+        def tick(_event):
             nonlocal count
-            for _ in range(2_000):
-                yield sim.timeout(1.0)
-                count += 1
+            count += 1
+            if count < 2_000:
+                sim.defer(1.0, callbacks)
 
-        sim.process(ticker(sim))
+        callbacks = (tick,)
+        sim.defer(1.0, callbacks)
         sim.run()
         return count
 
-    assert benchmark(run_ping_pong) == 2_000
+    assert benchmark(run_chain) == 2_000
 
 
-def test_bench_event_list_heap(benchmark):
-    from repro.sim import HeapEventList
-
-    benchmark(_churn_event_list, HeapEventList)
-
-
-def test_bench_event_list_calendar(benchmark):
-    from repro.sim import CalendarQueue
-
-    benchmark(_churn_event_list, CalendarQueue)
-
-
-def _churn_event_list(factory):
+def test_bench_event_heap_churn(benchmark):
     """Hold ~1000 events while pushing/popping 5000 more (the typical
     steady-state churn pattern of a queueing simulation)."""
     import numpy as np
 
-    q = factory()
-    rng = np.random.default_rng(0)
-    seq = 0
-    now = 0.0
-    for _ in range(1_000):
-        seq += 1
-        q.push((now + float(rng.exponential(10.0)), 1, seq, None))
-    for _ in range(5_000):
-        now, _, _, _ = q.pop()
-        seq += 1
-        q.push((now + float(rng.exponential(10.0)), 1, seq, None))
-    return seq
+    def churn():
+        sim = Simulator()
+        delays = np.random.default_rng(0).exponential(10.0, 6_000)
+        remaining = iter(delays[1_000:].tolist())
+
+        def reschedule(_event):
+            delay = next(remaining, None)
+            if delay is not None:
+                sim.defer(delay, callbacks)
+
+        callbacks = (reschedule,)
+        for delay in delays[:1_000].tolist():
+            sim.defer(delay, callbacks)
+        sim.run()
+        return sim.events_scheduled
+
+    assert benchmark(churn) == 6_000
 
 
 def test_bench_worst_fit_placement(benchmark):

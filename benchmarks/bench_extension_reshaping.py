@@ -58,12 +58,11 @@ def _run_variant(scale, variant: str, rho: float):
         ArrivalProcess(system.sim, reshaper, rate, system.submit,
                        limit=None,
                        rng=StreamFactory(config.seed).get("arrivals.iat"))
-        while system.jobs_finished < config.warmup_jobs:
-            system.sim.step()
+        system.sim.run_while(
+            lambda: system.jobs_finished < config.warmup_jobs)
         system.metrics.reset(system.sim.now)
         target = config.warmup_jobs + config.measured_jobs
-        while system.jobs_finished < target:
-            system.sim.step()
+        system.sim.run_while(lambda: system.jobs_finished < target)
         report = system.metrics.report(system.sim.now)
         backlog = system.policy.pending_jobs()
         return report.mean_response, report.gross_utilization, backlog > 70

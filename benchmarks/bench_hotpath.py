@@ -1,33 +1,20 @@
 #!/usr/bin/env python
-"""Hot-path throughput benchmark: optimized kernels vs the reference path.
+"""Hot-path throughput benchmark: absolute jobs/s and events/s per policy.
 
-Measures, per policy, the end-to-end simulator throughput (jobs/sec and
-events/sec) of the optimized hot path against a *reference
-configuration* that reconstructs the pre-optimization behavior from the
-equivalence knobs left in the code for exactly this purpose:
+Measures the end-to-end throughput of :func:`run_open_system` — the
+scalar engine path every sweep, cache and service point runs — for one
+case per policy.  There is no reference configuration to compare
+against: the numbers are absolute, so a change shows up as a move in
+the committed ``BENCH_hotpath.json`` trajectory.
 
-==================  =========================  ==========================
-layer               optimized (default)        reference configuration
-==================  =========================  ==========================
-run loop            ``Simulator.run_while``    stepwise ``peek()``/
-                    fused heap loop            ``step()`` drive loop
-departures          ``defer()`` callbacks      per-job ``Timeout`` events
-                    (``direct_departures``)    (``direct_departures=False``)
-placement           allocation-free kernels    ``REFERENCE_RULES`` greedy
-                    (``PLACEMENT_RULES``)      (sort + index bookkeeping)
-workload draws      block RNG prefetch         scalar draws (``batch=1``)
-==================  =========================  ==========================
-
-Both variants are run from the same seed and their run fingerprints
-(event counters, scheduler counters, utilization report) are asserted
-equal before any timing is trusted — the benchmark refuses to compare
-runs that diverged.
-
-Timing uses paired rounds in A/B/B/A order (alternating which variant
-runs first, cancelling thermal/frequency drift) and summarizes the
-per-round speedup distribution by its median and lower quartile — the
-"quiet quartile" convention of ``bench_obs_overhead.py``; the quartile
-is the conservative figure.
+Every run of a case must produce the same fingerprint (event counters,
+scheduler counters, utilization report): a case whose rounds diverged
+timed different work, and is recorded with ``fingerprint_equal: false``.
+Rounds visit the cases in A/B/B/A order (forward, then reversed), so
+thermal and frequency drift spreads over every policy instead of
+loading the last one.  Each case reports the median throughput and its
+lower quartile — the "quiet quartile" convention of
+``bench_obs_overhead.py``; the quartile is the conservative figure.
 
 Usage::
 
@@ -36,9 +23,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_hotpath.py --quick --check
 
 Writes machine-readable results to ``BENCH_hotpath.json`` (``--out`` to
-redirect).  ``--check`` additionally asserts that every case parses and
-shows speedup >= 1.0x, exiting nonzero otherwise (the CI perf-smoke
-gate; intentionally loose so shared runners don't flake).
+redirect).  ``--check`` additionally re-reads the JSON and asserts that
+every case parses with positive throughput and passed the fingerprint
+self-check, exiting nonzero otherwise (the CI perf-smoke gate).
 """
 
 from __future__ import annotations
@@ -58,11 +45,10 @@ from typing import Optional
 # ImportError — and so pytest can collect this file (python_files
 # includes bench_*.py) in minimal environments.
 try:
-    from repro.core.placement import REFERENCE_RULES
-    from repro.core.system import MulticlusterSimulation, SimulationConfig
+    from repro.core.system import SimulationConfig, run_open_system
     from repro.sim.rng import StreamFactory
     from repro.workload import WORKLOADS, das_t_900
-    from repro.workload.generator import ArrivalProcess, JobFactory
+    from repro.workload.generator import JobFactory
 except ModuleNotFoundError as exc:
     if (exc.name or "").partition(".")[0] != "numpy":
         raise
@@ -71,7 +57,7 @@ else:
     _IMPORT_ERROR = None
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SCHEMA = "repro.bench.hotpath/1"
+SCHEMA = "repro.bench.hotpath/2"
 
 #: (policy, target gross utilization, component limit).  GS at the
 #: paper's base-case load; LS/LP at high utilization where the local
@@ -83,18 +69,6 @@ CASES = (
     ("LP", 0.90, 16),
     ("SC", 0.70, None),
 )
-
-#: Pre-optimization throughput of this benchmark's cases measured at the
-#: parent commit (96c1c14) on the development machine, full scale, best
-#: of 5 — informational context for docs/performance.md.  Machine
-#: dependent: CI compares reference-vs-optimized within one run instead.
-SEED_BASELINE = {
-    "commit": "96c1c14",
-    "jobs_per_sec": {"GS": 9331.3, "LS": 8508.8,
-                     "LP": 8877.3, "SC": 13092.4},
-    "events_per_sec": {"GS": 19054.6, "LS": 19073.7,
-                       "LP": 19547.8, "SC": 26308.7},
-}
 
 
 def _config(policy: str, limit: Optional[int], warmup: int,
@@ -111,110 +85,95 @@ def _config(policy: str, limit: Optional[int], warmup: int,
     )
 
 
-def _run(config: SimulationConfig, rho: float, *, optimized: bool) -> dict:
+def _run(config: SimulationConfig, rate: float) -> dict:
     """One complete run; returns timing plus a determinism fingerprint."""
     sizes = WORKLOADS["das-s-128"]()
     service = das_t_900()
-    batch = None if optimized else 1
-    system = MulticlusterSimulation(
-        policy=config.policy,
-        capacities=config.capacities,
-        extension_factor=config.extension_factor,
-        placement=(config.placement if optimized
-                   else REFERENCE_RULES[config.placement]),
-        batch_size=config.batch_size,
-        direct_departures=optimized,
-    )
-    factory = JobFactory(
-        size_distribution=sizes,
-        service_distribution=service,
-        component_limit=config.component_limit,
-        clusters=len(config.capacities),
-        extension_factor=config.extension_factor,
-        routing_weights=config.routing_weights,
-        streams=StreamFactory(config.seed),
-        batch=batch,
-    )
-    rate = factory.arrival_rate_for_gross_utilization(rho, config.capacity)
-    sim = system.sim
-    ArrivalProcess(
-        sim, factory, rate, system.submit, limit=None,
-        rng=StreamFactory(config.seed).get("arrivals.iat"),
-        batch=batch,
-    )
-
-    warmup_target = config.warmup_jobs
-    total_target = config.warmup_jobs + config.measured_jobs
     start = time.perf_counter()
-    if optimized:
-        sim.run_while(lambda: system.jobs_finished < warmup_target)
-        system.metrics.reset(sim.now)
-        sim.run_while(lambda: system.jobs_finished < total_target)
-    else:
-        # The seed drive loop: peek-against-inf guard, one step() call
-        # (generic dispatch, tuple unpack, callback-list walk) per event.
-        inf = float("inf")
-        while system.jobs_finished < warmup_target and sim.peek() != inf:
-            sim.step()
-        system.metrics.reset(sim.now)
-        while system.jobs_finished < total_target and sim.peek() != inf:
-            sim.step()
+    result = run_open_system(config, sizes, service, rate)
     elapsed = time.perf_counter() - start
-
-    report = system.metrics.report(sim.now)
-    fingerprint = repr((
-        sim.events_processed,
-        sim.events_scheduled,
-        system.jobs_started,
-        system.jobs_finished,
-        system.policy.placement_attempts,
-        system.policy.placement_failures,
-        sorted((q.name, q.times_disabled) for q in system.policy.queues()),
-        sim.now,
-        sorted(report.as_dict().items()),
-    ))
+    extras = result.extras
     return {
         "elapsed": elapsed,
-        "jobs": system.jobs_finished,
-        "events": sim.events_processed,
-        "fingerprint": fingerprint,
+        "jobs": extras["jobs_finished"],
+        "events": extras["events_processed"],
+        "fingerprint": repr((
+            sorted(extras.items()),
+            result.end_time,
+            sorted(result.report.as_dict().items()),
+        )),
     }
 
 
-def bench_case(policy: str, rho: float, limit: Optional[int],
-               warmup: int, measured: int, rounds: int) -> dict:
-    config = _config(policy, limit, warmup, measured)
-    ratios = []
-    opt_runs = []
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    """(lower quartile, median) of ``values``."""
+    if len(values) == 1:
+        return values[0], values[0]
+    return statistics.quantiles(values, n=4)[0], statistics.median(values)
+
+
+def bench(warmup: int, measured: int, rounds: int) -> dict:
+    """Run every case ``rounds`` times; per-case throughput summary."""
+    configs = {}
+    for policy, rho, limit in CASES:
+        config = _config(policy, limit, warmup, measured)
+        factory = JobFactory(WORKLOADS["das-s-128"](), das_t_900(),
+                             limit, clusters=len(config.capacities),
+                             streams=StreamFactory(config.seed))
+        configs[policy] = (config, rho,
+                           factory.arrival_rate_for_gross_utilization(
+                               rho, config.capacity))
+    runs: dict[str, list[dict]] = {policy: [] for policy in configs}
+    order = list(configs)
     for round_index in range(rounds):
-        # A/B/B/A: alternate which variant pays the cold-start cost.
-        if round_index % 2 == 0:
-            ref = _run(config, rho, optimized=False)
-            opt = _run(config, rho, optimized=True)
-        else:
-            opt = _run(config, rho, optimized=True)
-            ref = _run(config, rho, optimized=False)
-        if ref["fingerprint"] != opt["fingerprint"]:
-            raise AssertionError(
-                f"{policy}: reference and optimized runs diverged; "
-                "timing comparison would be meaningless"
-            )
-        ratios.append(ref["elapsed"] / opt["elapsed"])
-        opt_runs.append(opt)
-    best = min(opt_runs, key=lambda run: run["elapsed"])
-    quartile = (statistics.quantiles(ratios, n=4)[0] if len(ratios) > 1
-                else ratios[0])
-    return {
-        "rho": rho,
-        "component_limit": limit,
-        "jobs_per_sec": round(best["jobs"] / best["elapsed"], 1),
-        "events_per_sec": round(best["events"] / best["elapsed"], 1),
-        "jobs": best["jobs"],
-        "events": best["events"],
-        "speedup_median": round(statistics.median(ratios), 3),
-        "speedup_quartile": round(quartile, 3),
-        "speedup_rounds": [round(r, 3) for r in ratios],
-    }
+        # A/B/B/A: reverse the case order on every other round.
+        for policy in (order if round_index % 2 == 0 else order[::-1]):
+            config, _, rate = configs[policy]
+            runs[policy].append(_run(config, rate))
+
+    cases = {}
+    for policy, policy_runs in runs.items():
+        config, rho, _ = configs[policy]
+        jobs_rates = [run["jobs"] / run["elapsed"] for run in policy_runs]
+        event_rates = [run["events"] / run["elapsed"]
+                       for run in policy_runs]
+        jobs_q1, jobs_median = _quartiles(jobs_rates)
+        events_q1, events_median = _quartiles(event_rates)
+        cases[policy] = {
+            "rho": rho,
+            "component_limit": config.component_limit,
+            "jobs": policy_runs[0]["jobs"],
+            "events": policy_runs[0]["events"],
+            "fingerprint_equal": len({run["fingerprint"]
+                                      for run in policy_runs}) == 1,
+            "jobs_per_sec": round(jobs_median, 1),
+            "jobs_per_sec_quartile": round(jobs_q1, 1),
+            "events_per_sec": round(events_median, 1),
+            "events_per_sec_quartile": round(events_q1, 1),
+            "jobs_per_sec_rounds": [round(r, 1) for r in jobs_rates],
+        }
+    return cases
+
+
+def check(path: Path) -> list[str]:
+    """Problems found re-reading the JSON at ``path`` (empty if none)."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        cases = payload["cases"]
+    except (OSError, ValueError, KeyError) as exc:
+        return [f"unreadable result file: {exc!r}"]
+    problems = []
+    for policy, _, _ in CASES:
+        case = cases.get(policy)
+        if not isinstance(case, dict):
+            problems.append(f"{policy}: missing")
+        elif case.get("fingerprint_equal") is not True:
+            problems.append(f"{policy}: fingerprint self-check failed")
+        elif not all(isinstance(case.get(key), (int, float))
+                     and case[key] > 0
+                     for key in ("jobs_per_sec", "events_per_sec")):
+            problems.append(f"{policy}: non-positive throughput")
+    return problems
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -225,8 +184,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                         default=REPO_ROOT / "BENCH_hotpath.json",
                         help="output JSON path")
     parser.add_argument("--check", action="store_true",
-                        help="exit nonzero unless every case shows "
-                             "speedup >= 1.0x")
+                        help="exit nonzero unless every case parses and "
+                             "passed the fingerprint self-check")
     args = parser.parse_args(argv)
 
     if _IMPORT_ERROR is not None:
@@ -240,47 +199,34 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         warmup, measured, rounds = 500, 5_000, 5
 
-    cases = {}
-    for policy, rho, limit in CASES:
-        cases[policy] = bench_case(policy, rho, limit,
-                                   warmup, measured, rounds)
-        print(f"{policy}: {cases[policy]['jobs_per_sec']:>9.1f} jobs/s  "
-              f"{cases[policy]['events_per_sec']:>9.1f} events/s  "
-              f"speedup x{cases[policy]['speedup_quartile']:.2f} "
-              f"(median x{cases[policy]['speedup_median']:.2f})")
+    cases = bench(warmup, measured, rounds)
+    for policy, case in cases.items():
+        diverged = "" if case["fingerprint_equal"] else "  DIVERGED"
+        print(f"{policy}: {case['jobs_per_sec']:>9.1f} jobs/s "
+              f"(quartile {case['jobs_per_sec_quartile']:.1f})  "
+              f"{case['events_per_sec']:>9.1f} events/s{diverged}")
 
     payload = {
         "schema": SCHEMA,
         "generated_by": "benchmarks/bench_hotpath.py",
         "mode": "quick" if args.quick else "full",
         "python": platform.python_version(),
+        "machine": platform.machine(),
         "warmup_jobs": warmup,
         "measured_jobs": measured,
         "rounds": rounds,
         "cases": cases,
-        "seed_baseline": SEED_BASELINE,
-        # Throughput vs the parent-commit baseline.  Only meaningful
-        # when run on the machine that produced SEED_BASELINE (the
-        # committed full-mode run is); CI relies on the in-run
-        # reference-vs-optimized speedups above instead.
-        "vs_seed_jobs_per_sec": {
-            policy: round(case["jobs_per_sec"]
-                          / SEED_BASELINE["jobs_per_sec"][policy], 2)
-            for policy, case in cases.items()
-        },
     }
     args.out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                         encoding="utf-8")
     print(f"wrote {args.out}")
 
     if args.check:
-        reparsed = json.loads(args.out.read_text(encoding="utf-8"))
-        failed = [name for name, case in reparsed["cases"].items()
-                  if case["speedup_quartile"] < 1.0]
-        if failed:
-            print(f"CHECK FAILED: speedup < 1.0x for {', '.join(failed)}")
+        problems = check(args.out)
+        if problems:
+            print("CHECK FAILED: " + "; ".join(problems))
             return 1
-        print("CHECK OK: all cases parse and show speedup >= 1.0x")
+        print("CHECK OK: all cases parse, fingerprints equal across rounds")
     return 0
 
 

@@ -4,8 +4,9 @@
 Pushes the LP policy past its knee (the paper's Figure 4 regime) and
 uses the instrumentation beyond the paper's aggregates:
 
-* a trajectory probe shows the *global* queue is the one that grows
-  without bound while the local queues stay short (§3.1.3);
+* queue lengths sampled on a period grid (``sim.run(until=t)`` per
+  grid point) show the *global* queue is the one that grows without
+  bound while the local queues stay short (§3.1.3);
 * bounded-slowdown percentiles show how disproportionately the
   co-allocated (multi-component) jobs pay for it;
 * a paired common-random-number comparison against LS quantifies the
@@ -16,7 +17,6 @@ Run:  python examples/saturation_diagnosis.py
 
 from repro import MulticlusterSimulation, SimulationConfig
 from repro.analysis.replications import paired_comparison
-from repro.metrics import TrajectoryRecorder
 from repro.sim import StreamFactory
 from repro.workload import ArrivalProcess, JobFactory, das_s_128, das_t_900
 
@@ -29,17 +29,24 @@ def main() -> None:
     system = MulticlusterSimulation("LP")
     factory = JobFactory(sizes, service, 16, streams=StreamFactory(8))
     rate = factory.arrival_rate_for_gross_utilization(target_util, 128)
-    recorder = TrajectoryRecorder(system, period=2_000.0)
     ArrivalProcess(system.sim, factory, rate, system.submit,
                    rng=StreamFactory(8).get("iat"))
-    system.sim.run(until=300_000.0)
+    period, horizon = 2_000.0, 300_000.0
+    queues = system.policy.queues()
+    lengths: dict[str, list[int]] = {queue.name: [] for queue in queues}
+    for step in range(1, int(horizon / period)):
+        # Sample at each grid time, before the events due at that time.
+        system.sim.run(until=step * period)
+        for queue in queues:
+            lengths[queue.name].append(len(queue))
+    system.sim.run(until=horizon)
 
     print(f"LP at offered gross utilization {target_util}:")
-    for queue in system.policy.queues():
-        times, lengths = recorder.queue_series(queue.name)
-        print(f"  queue {queue.name:8s}: final length "
-              f"{lengths[-1]:5.0f}, peak {lengths.max():5.0f}")
-    print(f"  -> the runaway queue is '{recorder.busiest_queue()}' "
+    for name, series in lengths.items():
+        print(f"  queue {name:8s}: final length "
+              f"{series[-1]:5.0f}, peak {max(series):5.0f}")
+    busiest = max(lengths, key=lambda name: lengths[name][-1])
+    print(f"  -> the runaway queue is '{busiest}' "
           "(the paper's §3.1.3 bottleneck)")
 
     report = system.metrics.report(system.sim.now)

@@ -4,8 +4,8 @@ A production-quality reproduction of A.I.D. Bucur and D.H.J. Epema,
 *Trace-Based Simulations of Processor Co-Allocation Policies in
 Multiclusters* (HPDC 2003), built as four layers:
 
-* :mod:`repro.sim` — a process-oriented discrete-event simulation engine
-  (the CSIM substrate the authors used, rebuilt from scratch);
+* :mod:`repro.sim` — a discrete-event simulation engine sized to the
+  model (the CSIM substrate the authors used, rebuilt from scratch);
 * :mod:`repro.workload` — the DAS-derived workload model: synthetic DAS1
   trace, the DAS-s-128 / DAS-s-64 / DAS-t-900 distributions, component
   splitting, SWF I/O, arrival generation;

@@ -34,66 +34,6 @@ PlacementRule = Callable[
 ]
 
 
-def _greedy_reference(
-        components: Sequence[int], free: Sequence[int],
-        choose: Callable[[list[tuple[int, int]]], tuple[int, int]],
-        ) -> Optional[tuple[tuple[int, int], ...]]:
-    """Reference greedy placement, kept as the oracle for the fast kernels.
-
-    Components in decreasing size order, each on a distinct cluster
-    selected by ``choose`` from the feasible candidates.  This is the
-    original (allocating) implementation; the exported rules below are
-    equivalence-tested against it and the hot-path benchmark uses it as
-    the A/B baseline.
-    """
-    if len(components) > len(free):
-        return None
-    ordered = sorted(components, reverse=True)
-    remaining = list(enumerate(free))
-    assignment: list[tuple[int, int]] = []
-    for comp in ordered:
-        candidates = [(idx, f) for idx, f in remaining if f >= comp]
-        if not candidates:
-            return None
-        idx, _ = choose(candidates)
-        assignment.append((idx, comp))
-        remaining = [(i, f) for i, f in remaining if i != idx]
-    return tuple(assignment)
-
-
-def _worst_fit_reference(components: Sequence[int], free: Sequence[int]
-                         ) -> Optional[tuple[tuple[int, int], ...]]:
-    return _greedy_reference(
-        components, free,
-        choose=lambda cands: max(cands, key=lambda c: (c[1], -c[0])),
-    )
-
-
-def _first_fit_reference(components: Sequence[int], free: Sequence[int]
-                         ) -> Optional[tuple[tuple[int, int], ...]]:
-    return _greedy_reference(
-        components, free,
-        choose=lambda cands: min(cands, key=lambda c: c[0]),
-    )
-
-
-def _best_fit_reference(components: Sequence[int], free: Sequence[int]
-                        ) -> Optional[tuple[tuple[int, int], ...]]:
-    return _greedy_reference(
-        components, free,
-        choose=lambda cands: min(cands, key=lambda c: (c[1], c[0])),
-    )
-
-
-#: Reference (oracle) implementations by rule name — tests and the
-#: hot-path benchmark compare the fast kernels against these.
-REFERENCE_RULES: dict[str, PlacementRule] = {
-    "worst-fit": _worst_fit_reference,
-    "first-fit": _first_fit_reference,
-    "best-fit": _best_fit_reference,
-}
-
-
 def _ordered(components: Sequence[int]) -> Sequence[int]:
     """``components`` in non-increasing order, without copying when the
     input is already sorted (``JobSpec.components`` always is)."""
@@ -101,26 +41,6 @@ def _ordered(components: Sequence[int]) -> Sequence[int]:
         if components[i] < components[i + 1]:
             return sorted(components, reverse=True)
     return components
-
-
-#: Shared scratch for the multi-component kernels (grown on demand).
-#: Placement never re-enters itself and the simulator is single-threaded,
-#: so one module-level buffer removes the per-attempt list allocations of
-#: the reference implementation.
-_scratch: list[int] = []
-
-
-def _fill_scratch(free: Sequence[int], n: int) -> list[int]:
-    # The module-level buffer is deliberate (see _scratch above): its
-    # contents are fully overwritten on every call before any read, so
-    # per-process copies can never diverge observably — only the
-    # capacity (an allocation detail) differs between processes.
-    scratch = _scratch
-    if len(scratch) < n:
-        scratch.extend(0 for _ in range(n - len(scratch)))  # simlint: disable=SIM008 -- capacity growth only; values rewritten below before use
-    for idx in range(n):
-        scratch[idx] = free[idx]  # simlint: disable=SIM008 -- scratch fully overwritten per call; no cross-call or cross-process state is read
-    return scratch
 
 
 def worst_fit(components: Sequence[int], free: Sequence[int]
@@ -149,7 +69,9 @@ def worst_fit(components: Sequence[int], free: Sequence[int]
         if best_idx < 0:
             return None
         return ((best_idx, comp),)
-    scratch = _fill_scratch(free, n)
+    # A private copy per call: simulations placing in concurrent
+    # threads (the service fleet) never share it.
+    scratch = list(free)
     assignment: list[tuple[int, int]] = []
     for comp in _ordered(components):
         best_idx = -1
@@ -180,7 +102,7 @@ def first_fit(components: Sequence[int], free: Sequence[int]
             if free[idx] >= comp:
                 return ((idx, comp),)
         return None
-    scratch = _fill_scratch(free, n)
+    scratch = list(free)
     assignment: list[tuple[int, int]] = []
     for comp in _ordered(components):
         for idx in range(n):
@@ -216,7 +138,7 @@ def best_fit(components: Sequence[int], free: Sequence[int]
         if best_idx < 0:
             return None
         return ((best_idx, comp),)
-    scratch = _fill_scratch(free, n)
+    scratch = list(free)
     assignment: list[tuple[int, int]] = []
     for comp in _ordered(components):
         best_idx = -1

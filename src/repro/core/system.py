@@ -18,11 +18,11 @@ methodologies:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, cast
 
 from repro.metrics.recorder import MetricsRecorder, UtilizationReport
 from repro.sim.distributions import Distribution
-from repro.sim.engine import Simulator
+from repro.sim.engine import Callback, Simulator
 from repro.sim.rng import StreamFactory
 from repro.sim.trace import NullTracer, Tracer
 from repro.workload import stats_model
@@ -59,12 +59,6 @@ class MulticlusterSimulation:
         Placement-rule name or callable (default Worst Fit).
     tracer:
         Optional event tracer for debugging/tests.
-    direct_departures:
-        When True (default) departures are scheduled as lightweight
-        :meth:`~repro.sim.engine.Simulator.defer` callbacks; False uses
-        the original per-job ``Timeout`` event.  Both paths are
-        event-sequence identical — the flag exists so the equivalence
-        tests and the hot-path benchmark can compare them.
     """
 
     def __init__(self,
@@ -74,8 +68,7 @@ class MulticlusterSimulation:
                  placement: "str | PlacementRule" = "worst-fit",
                  batch_size: int = 500,
                  tracer: Optional[Tracer] = None,
-                 sim: Optional[Simulator] = None,
-                 direct_departures: bool = True) -> None:
+                 sim: Optional[Simulator] = None) -> None:
         if capacities is None:
             capacities = [stats_model.CLUSTER_SIZE] * stats_model.NUM_CLUSTERS
         self.sim = sim if sim is not None else Simulator()
@@ -96,7 +89,6 @@ class MulticlusterSimulation:
         self.on_departure_hook: Optional[Callable[[Job], None]] = None
         self.jobs_started = 0
         self.jobs_finished = 0
-        self._direct_departures = direct_departures
         # One tuple shared by every deferred departure (see start_job).
         self._departure_callbacks = (self._departure_callback,)
 
@@ -127,19 +119,13 @@ class MulticlusterSimulation:
             self.tracer.emit_row({"t": now, "kind": "start",
                                   "job": job.spec.index,
                                   "assignment": job.placement})
-        if self._direct_departures:
-            # Fast path: one calendar push carrying the job, no Timeout
-            # object or per-job callback list.  Same scheduling sequence
-            # number and rank as the Timeout below, so event order and
-            # the events_scheduled counter are unchanged.
-            self.sim.defer(job.gross_service_time,
-                           self._departure_callbacks, job)
-        else:
-            departure = self.sim.timeout(job.gross_service_time, value=job)
-            departure.callbacks.append(self._departure_callback)
+        # One heap push carrying the job; every departure shares the
+        # same callback tuple.
+        self.sim.defer(job.gross_service_time,
+                       self._departure_callbacks, job)
 
-    def _departure_callback(self, event) -> None:
-        job: Job = event.value
+    def _departure_callback(self, event: Callback) -> None:
+        job = cast(Job, event.value)
         self.multicluster.release(job.placement)
         now = self.sim.now
         job.finish(now)
@@ -287,9 +273,7 @@ def run_open_system(config: SimulationConfig, size_distribution: Distribution,
     )
 
     # Warmup: run until `warmup_jobs` completions, then reset statistics.
-    # run_while fuses the predicate check and the heap pop into one
-    # loop (and stops cleanly if the calendar ever drains), replacing
-    # the per-event peek()-against-inf guard.
+    # run_while stops cleanly if the heap ever drains.
     warmup_target = config.warmup_jobs
     sim.run_while(lambda: system.jobs_finished < warmup_target)
     system.metrics.reset(sim.now)
@@ -357,9 +341,9 @@ def run_constant_backlog(config: SimulationConfig,
     for _ in range(backlog):
         system.submit(factory.next_job())
 
-    # run_while stops cleanly when the calendar drains, so a model bug
+    # run_while stops cleanly when the heap drains, so a model bug
     # (refill failing to keep the schedule populated) ends the run with
-    # a truncated report instead of an EmptySchedule crash mid-loop.
+    # a truncated report instead of a crash mid-loop.
     sim.run_while(lambda: system.jobs_finished < warmup_jobs)
     system.metrics.reset(sim.now)
     target = warmup_jobs + measured_jobs

@@ -4,11 +4,8 @@ from .recorder import MetricsRecorder, UtilizationReport
 from .saturation import MaximalUtilization, estimate_maximal_utilization
 from .fairness import FairnessTracker, jain_index
 from .slowdown import SlowdownTracker, bounded_slowdown
-from .timeseries import TimeSeriesProbe, TrajectoryRecorder
 
 __all__ = [
-    "TimeSeriesProbe",
-    "TrajectoryRecorder",
     "FairnessTracker",
     "jain_index",
     "MetricsRecorder",

@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import platform as platform_module
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
+
+from repro.atomicio import atomic_write_json
 
 __all__ = ["MANIFEST_SCHEMA", "RunManifest", "config_hash",
            "for_task", "for_sweep", "write_manifest", "load_manifest",
@@ -147,14 +148,8 @@ def cache_manifest_path(entry_path: Path) -> Path:
 
 
 def write_manifest(manifest: RunManifest, path: PathLike) -> Path:
-    """Write ``manifest`` as JSON (atomic: temp file + replace)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest.to_dict(), fh, indent=1, sort_keys=True)
-    os.replace(tmp, path)
-    return path
+    """Write ``manifest`` as JSON (atomic, see :mod:`repro.atomicio`)."""
+    return atomic_write_json(path, manifest.to_dict())
 
 
 def load_manifest(path: PathLike) -> RunManifest:

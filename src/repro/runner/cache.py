@@ -12,8 +12,9 @@ Layout: one JSON file per task under ``.repro-cache/<key[:2]>/<key>.json``
 
 Integrity rules:
 
-* writes are atomic (temp file + ``os.replace``), so an aborted run can
-  never leave a truncated entry behind;
+* writes are atomic (:func:`repro.atomicio.atomic_write_json`), so an
+  aborted run can never leave a truncated entry behind, and concurrent
+  writers of one key never collide;
 * a corrupted, truncated or schema-mismatched entry is *never* fatal —
   it falls through to recompute, surfacing one
   :class:`CacheIntegrityWarning` per run (per cache instance);
@@ -24,10 +25,11 @@ Integrity rules:
 from __future__ import annotations
 
 import json
-import os
 import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Union
+
+from repro.atomicio import atomic_write_json
 
 if TYPE_CHECKING:  # pragma: no cover - importing repro.analysis here at
     # module scope would cycle: its package __init__ pulls in the sweep
@@ -125,18 +127,12 @@ class ResultCache:
         """Persist ``point`` under ``key`` (atomic write)."""
         from repro.analysis.points import point_to_dict
 
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
+        atomic_write_json(self.path_for(key), {
             "schema": SCHEMA_TAG,
             "key": key,
             "task": description,
             "point": point_to_dict(point),
-        }
-        tmp = path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-        os.replace(tmp, path)
+        })
         self.stores += 1
 
     def stats(self) -> dict[str, int]:

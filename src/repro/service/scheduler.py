@@ -72,6 +72,11 @@ class TaskBroker:
         self.retry = retry
         self.fused_width = fused_width
         self._semaphore = asyncio.Semaphore(fleet)
+        #: Serializes :meth:`point_for` cache probes in request order,
+        #: so misses queue on the FIFO semaphore in the order cells were
+        #: requested and a campaign executes its grid in cell order (as
+        #: :meth:`run_fused` does), not in thread-completion order.
+        self._probes = asyncio.Lock()
         #: key -> future of its in-flight computation.  Only keys with
         #: no cached result appear here; entries are removed as their
         #: futures settle.
@@ -101,17 +106,19 @@ class TaskBroker:
         """
         existing = self.inflight.get(key)
         if existing is None:
-            hit = await asyncio.to_thread(self.store.load, key)
-            # The cache probe yielded the loop: someone may have
-            # started this key meanwhile.
-            existing = self.inflight.get(key)
+            async with self._probes:
+                hit = await asyncio.to_thread(self.store.load, key)
+                # The cache probe yielded the loop: someone may have
+                # started this key meanwhile.
+                existing = self.inflight.get(key)
+                if existing is None and hit is None:
+                    handle = asyncio.create_task(self._compute(task, key))
+                    self._register(key, handle)
             if existing is None:
                 if hit is not None:
                     self.counters["tasks.hit"] += 1
                     _progress.notify("hit", key, task.describe())
                     return hit, "hit"
-                handle = asyncio.create_task(self._compute(task, key))
-                self._register(key, handle)
                 return await asyncio.shield(handle), "computed"
         self.counters["tasks.deduped"] += 1
         return await asyncio.shield(existing), "deduped"

@@ -1,10 +1,10 @@
-"""``repro.sim`` — a process-oriented discrete-event simulation engine.
+"""``repro.sim`` — the discrete-event simulation substrate.
 
-This subpackage is the substrate replacing the commercial CSIM18 package
-the paper used: an event calendar with deterministic tie-breaking,
-generator-coroutine processes, interrupts, counted resources, reproducible
+This subpackage replaces the commercial CSIM18 package the paper used,
+sized to what the model needs: an event heap with a written
+equal-timestamp convention (:mod:`repro.sim.engine`), reproducible
 named random streams, input distributions, and steady-state output
-statistics (batch means, time-weighted averages).
+statistics (batch means, time-weighted averages, P² quantiles).
 
 Quick example::
 
@@ -14,26 +14,16 @@ Quick example::
     rng = StreamFactory(1).get("arrivals")
     iat = Exponential(mean=2.0)
 
-    def source(sim):
-        while True:
-            yield sim.timeout(iat.sample(rng))
-            print("arrival at", sim.now)
+    def arrival(_event):
+        print("arrival at", sim.now)
+        sim.defer(iat.sample(rng), ticks)
 
-    sim.process(source(sim))
+    ticks = (arrival,)
+    sim.defer(iat.sample(rng), ticks)
     sim.run(until=10)
 """
 
-from .calendar import CalendarQueue, EventList, HeapEventList
-from .engine import Infinity, Simulator
-from .errors import (
-    EmptySchedule,
-    Interrupt,
-    SchedulingError,
-    SimulationError,
-)
-from .events import AllOf, AnyOf, Condition, Event, Timeout
-from .process import Process
-from .resources import Gate, Grant, PreemptiveResource, Resource, Store
+from .engine import SchedulingError, Simulator
 from .rng import StreamFactory, stream
 from .distributions import (
     BoundedPareto,
@@ -52,8 +42,6 @@ from .distributions import (
     Weibull,
 )
 from .quantiles import P2Quantile, QuantileSet
-from .run_length import RunLengthController, StoppingDecision, run_to_precision
-from .warmup import is_warmup_adequate, mser_truncation_point
 from .stats import (
     BatchMeans,
     ConfidenceInterval,
@@ -67,14 +55,7 @@ from .trace import NullTracer, TraceRecord, Tracer
 
 __all__ = [
     # engine
-    "Simulator", "Infinity",
-    "EventList", "HeapEventList", "CalendarQueue",
-    # errors
-    "SimulationError", "SchedulingError", "EmptySchedule", "Interrupt",
-    # events & processes
-    "Event", "Timeout", "Condition", "AnyOf", "AllOf", "Process",
-    # resources
-    "Resource", "Grant", "Store", "Gate", "PreemptiveResource",
+    "Simulator", "SchedulingError",
     # rng
     "StreamFactory", "stream",
     # distributions
@@ -84,8 +65,6 @@ __all__ = [
     "Weibull", "BoundedPareto",
     # stats
     "P2Quantile", "QuantileSet",
-    "RunLengthController", "StoppingDecision", "run_to_precision",
-    "mser_truncation_point", "is_warmup_adequate",
     "Tally", "TimeWeighted", "BatchMeans", "Histogram",
     "ConfidenceInterval", "normal_quantile", "student_t_quantile",
     # tracing

@@ -1,47 +1,72 @@
-"""The simulation engine: a time-ordered event calendar and its driver.
+"""The simulation engine: a time-ordered event heap and its driver.
 
-:class:`Simulator` owns the clock and the pending-event heap.  Events are
-processed in (time, priority, insertion order) — ties at the same timestamp
-are broken first by the *urgent* flag (used internally so process
-initialisation and termination precede ordinary events) and then FIFO, which
-makes runs fully deterministic.
+The paper's model (Bucur & Epema, §2) has two kinds of event — Poisson
+job arrivals and job departures — and each one triggers an FCFS policy
+round.  :class:`Simulator` is sized to exactly that: one binary heap of
+``(time, rank, seq, Callback)`` entries, filled by :meth:`~Simulator.defer`
+(and :meth:`~Simulator.call_at`, built on it) and drained by
+:meth:`~Simulator.run_while` or :meth:`~Simulator.run`.
+
+Equal-timestamp convention
+--------------------------
+Entries at the same instant fire by *rank* first — urgent before
+normal — and then in scheduling order: every push consumes one sequence
+number, and the lower number fires first.  The paper does not define
+simultaneous arrivals and departures, so this is the engine's
+convention, and it makes runs fully deterministic.  For example, an
+arrival scheduled via ``call_at`` at t=0 fires before a departure that
+is deferred later for the same instant, because the arrival was
+scheduled first.  Urgent entries are the arrival source's
+initialisation event at t=0 and the stop entry of ``run(until=t)``,
+which is why normal events at exactly ``t`` stay pending.
 
 Typical usage::
 
     sim = Simulator()
+    sim.call_at(1.0, lambda: print("tick at", sim.now))
+    sim.run()
 
-    def source(sim):
-        while True:
-            yield sim.timeout(1.0)
-            print("tick at", sim.now)
-
-    sim.process(source(sim))
-    sim.run(until=10.0)
-
-The engine is single-threaded and re-entrant-free by design: model code
-runs only inside :meth:`step`, so no locking is ever needed — the usual
-discipline for process-oriented simulation kernels (CSIM, SimPy).
+The engine is single-threaded: model code runs only inside the drive
+loops, so no locking is ever needed.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
-from .calendar import EventList, HeapEventList
-from .errors import EmptySchedule, SchedulingError, StopSimulation
-from .events import AllOf, AnyOf, Callback, Event, Timeout
-from .process import Process, ProcessGenerator
+__all__ = ["Simulator", "Callback", "SchedulingError"]
 
-__all__ = ["Simulator", "Infinity"]
-
-#: Convenience alias used for "run forever".
-Infinity = float("inf")
-
-#: Priority rank for urgent (engine-internal) events.
+#: Priority rank for urgent events.
 _URGENT = 0
 #: Priority rank for normal events.
 _NORMAL = 1
+
+
+class SchedulingError(Exception):
+    """An event was scheduled into the past (negative delay, past time)."""
+
+
+class Callback:
+    """A scheduled occurrence: a fixed callback tuple and a value.
+
+    Hot paths (job departures, arrival ticks) schedule hundreds of
+    thousands of these; callers share one ``callbacks`` tuple across
+    all their occurrences, so an entry costs one small object.  Each
+    callback is invoked with the ``Callback`` itself and reads
+    :attr:`value`.
+    """
+
+    __slots__ = ("callbacks", "value")
+
+    def __init__(self,
+                 callbacks: "tuple[Callable[[Callback], None], ...]",
+                 value: object = None) -> None:
+        self.callbacks = callbacks
+        self.value = value
+
+    def __repr__(self) -> str:
+        return f"<Callback value={self.value!r}>"
 
 
 class Simulator:
@@ -51,29 +76,20 @@ class Simulator:
     ----------
     initial_time:
         Starting value of the simulation clock (default 0).
-    event_list:
-        Pending-event structure; defaults to a binary heap.  Pass a
-        :class:`~repro.sim.calendar.CalendarQueue` for very large event
-        populations.
 
     Attributes
     ----------
     now:
         Current simulation time.  Only the engine advances it.
+    events_processed:
+        Monotone counter of processed events (heap pops).
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 event_list: Optional[EventList] = None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue: EventList = (
-            event_list if event_list is not None else HeapEventList()
-        )
+        self._heap: list[tuple[float, int, int, Callback]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
-        #: Monotone counter of processed events (for diagnostics/benchmarks).
         self.events_processed = 0
-
-    # -- clock ---------------------------------------------------------------
 
     @property
     def now(self) -> float:
@@ -82,7 +98,7 @@ class Simulator:
 
     @property
     def events_scheduled(self) -> int:
-        """Events placed on the calendar so far (heap pushes).
+        """Events placed on the heap so far (heap pushes).
 
         Together with :attr:`events_processed` (heap pops) this gives
         the engine's event-list traffic for diagnostics; the counter is
@@ -90,227 +106,80 @@ class Simulator:
         """
         return self._eid
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being stepped, if any."""
-        return self._active_process
-
-    # -- event factories -------------------------------------------------
-
-    def event(self) -> Event:
-        """Create a new untriggered :class:`Event`."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: object = None) -> Timeout:
-        """Create an event that fires ``delay`` time units from now."""
-        return Timeout(self, delay, value)
-
-    def process(self, generator: ProcessGenerator,
-                name: Optional[str] = None) -> Process:
-        """Start a new process running ``generator``."""
-        return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Condition event: fires when any of ``events`` fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Condition event: fires when all of ``events`` have fired."""
-        return AllOf(self, events)
-
-    # -- calendar ----------------------------------------------------------
-
-    def schedule(self, event: Event, *, delay: float = 0.0,
-                 priority: bool = False) -> None:
-        """Place a triggered event on the calendar ``delay`` from now.
-
-        ``priority`` marks engine-internal urgent events which are
-        processed before normal events scheduled at the same time.
-        """
-        if delay < 0:
-            raise SchedulingError(f"cannot schedule into the past ({delay!r})")
-        self._eid += 1
-        rank = _URGENT if priority else _NORMAL
-        self._queue.push((self._now + delay, rank, self._eid, event))
+    # -- scheduling --------------------------------------------------------
 
     def defer(self, delay: float,
               callbacks: "tuple[Callable[[Callback], None], ...]",
               value: object = None, *, priority: bool = False) -> None:
-        """Schedule a lightweight :class:`Callback` ``delay`` from now.
+        """Schedule a :class:`Callback` ``delay`` from now.
 
-        The fast path for hot loops that fire a known, fixed set of
-        callbacks (job departures, arrival ticks): one calendar push,
-        no per-occurrence callback-list or event-state allocation.
-        Callers share a single ``callbacks`` tuple across all their
-        occurrences.  Consumes exactly one scheduling sequence number,
-        so event ordering and the :attr:`events_scheduled` counter are
-        identical to scheduling a triggered :class:`Event`.
+        Consumes exactly one scheduling sequence number.  ``priority``
+        marks an urgent event, processed before normal events at the
+        same time.
         """
         if delay < 0:
             raise SchedulingError(f"cannot schedule into the past ({delay!r})")
         self._eid += 1
-        rank = _URGENT if priority else _NORMAL
-        self._queue.push(
-            (self._now + delay, rank, self._eid, Callback(callbacks, value))
-        )
+        heapq.heappush(self._heap, (
+            self._now + delay, _URGENT if priority else _NORMAL, self._eid,
+            Callback(callbacks, value),
+        ))
 
-    def call_at(self, time: float, fn: Callable[[], None]) -> Event:
+    def call_at(self, time: float, fn: Callable[[], None]) -> None:
         """Invoke ``fn()`` at absolute simulation time ``time``.
 
-        Returns the underlying event so callers can cancel interest by
-        ignoring it; ``fn`` runs as an ordinary event callback.
+        A normal-rank :meth:`defer`: one sequence number, FIFO with
+        every other event at the same time.
         """
         if time < self._now:
             raise SchedulingError(
                 f"call_at({time!r}) is in the past (now={self._now!r})"
             )
-        ev = Timeout(self, time - self._now)
-        ev.callbacks.append(lambda _ev: fn())  # type: ignore[union-attr]
-        return ev
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
-        t = self._queue.peek_time()
-        return t if t is not None else Infinity
+        self.defer(time - self._now, (lambda _event: fn(),))
 
     # -- execution ---------------------------------------------------------
-
-    def step(self) -> None:
-        """Process exactly one event.
-
-        Raises :class:`EmptySchedule` if the calendar is empty, and
-        re-raises unhandled failed events (model bugs must not pass
-        silently).
-        """
-        try:
-            self._now, _, _, event = self._queue.pop()
-        except IndexError:
-            raise EmptySchedule("no more events scheduled") from None
-
-        callbacks = event.callbacks
-        event.callbacks = None  # mark processed
-        self.events_processed += 1
-        for callback in callbacks:  # type: ignore[union-attr]
-            callback(event)
-
-        if event._ok is False and not event._defused:
-            # Nobody handled the failure: crash loudly.
-            raise event._value  # type: ignore[misc]
 
     def run_while(self, predicate: Callable[[], bool]) -> bool:
         """Process events while ``predicate()`` holds and events remain.
 
-        The fused drive loop for count-based stop conditions: instead of
-        the per-event ``while pred() and sim.peek() != inf: sim.step()``
-        pattern — two method calls and a float comparison of bookkeeping
-        per event — the engine checks the predicate and pops the next
-        entry in one flat loop.  For the default :class:`HeapEventList`
-        the heap pop is inlined, skipping the virtual ``EventList.pop``
-        dispatch; any other event list falls back to :meth:`step`.
-
-        ``predicate`` is evaluated *before* each event, exactly like the
-        classic guarded loop, so the processed-event sequence is
-        identical.  Returns ``True`` if the loop stopped because the
-        predicate went false, ``False`` if the calendar drained first.
-        Failed events propagate exactly as from :meth:`step`.
+        ``predicate`` is evaluated *before* each event.  Returns
+        ``True`` if the loop stopped because the predicate went false,
+        ``False`` if the heap drained first.
         """
-        queue = self._queue
-        if type(queue) is HeapEventList:
-            heap = queue._heap
-            pop = heapq.heappop
-            while heap:
-                if not predicate():
-                    return True
-                self._now, _, _, event = pop(heap)
-                callbacks = event.callbacks
-                event.callbacks = None  # mark processed
-                self.events_processed += 1
-                for callback in callbacks:  # type: ignore[union-attr]
-                    callback(event)
-                if event._ok is False and not event._defused:
-                    raise event._value  # type: ignore[misc]
-            return False
-        while len(queue):
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
             if not predicate():
                 return True
-            self.step()
+            self._now, _, _, event = pop(heap)
+            self.events_processed += 1
+            for callback in event.callbacks:
+                callback(event)
         return False
 
-    def run(self, until: "float | Event | None" = None) -> object:
-        """Run the simulation.
+    def run(self, until: Optional[float] = None) -> None:
+        """Run until the heap drains, or up to time ``until``.
 
-        Parameters
-        ----------
-        until:
-            * ``None`` — run until the calendar empties.
-            * a number — run until the clock reaches that time (the clock
-              is set exactly to it on return).
-            * an :class:`Event` — run until that event is processed and
-              return its value (raising if the event failed).
+        With a horizon the engine pushes an urgent stop event at
+        ``until``: it fires before normal events at exactly that time,
+        which stay pending for a later run.  The clock ends exactly at
+        ``until``.
         """
-        stop: Optional[Event] = None
         if until is None:
-            pass
-        elif isinstance(until, Event):
-            stop = until
-            if stop.callbacks is None:
-                # Already processed.
-                if stop._ok:
-                    return stop._value
-                raise stop._value  # type: ignore[misc]
-            stop.callbacks.append(self._stop_callback)
-        else:
-            horizon = float(until)
-            if horizon < self._now:
-                raise SchedulingError(
-                    f"run(until={horizon!r}) is in the past (now={self._now!r})"
-                )
-            stop = Event(self)
-            stop._ok = True
-            stop._value = None
-            stop.callbacks.append(self._stop_callback)
-            self.schedule(stop, delay=horizon - self._now, priority=True)
-
-        try:
-            queue = self._queue
-            if type(queue) is HeapEventList:
-                # Same fused loop as run_while: inline the heap pop and
-                # the step() body for the default event list.
-                heap = queue._heap
-                pop = heapq.heappop
-                while True:
-                    if not heap:
-                        raise EmptySchedule("no more events scheduled")
-                    self._now, _, _, event = pop(heap)
-                    callbacks = event.callbacks
-                    event.callbacks = None  # mark processed
-                    self.events_processed += 1
-                    for callback in callbacks:  # type: ignore[union-attr]
-                        callback(event)
-                    if event._ok is False and not event._defused:
-                        raise event._value  # type: ignore[misc]
-            else:
-                while True:
-                    self.step()
-        except StopSimulation as signal:
-            return signal.value
-        except EmptySchedule:
-            if stop is not None and stop.callbacks is not None:
-                if isinstance(until, Event):
-                    raise SchedulingError(
-                        "run(until=event): calendar emptied before the event "
-                        "triggered"
-                    ) from None
-            return None
-
-    @staticmethod
-    def _stop_callback(event: Event) -> None:
-        if event._ok:
-            raise StopSimulation(event._value)
-        raise event._value  # type: ignore[misc]
+            self.run_while(lambda: True)
+            return
+        horizon = float(until)
+        if horizon < self._now:
+            raise SchedulingError(
+                f"run(until={horizon!r}) is in the past (now={self._now!r})"
+            )
+        stopped: list[bool] = []
+        self.defer(horizon - self._now,
+                   (lambda _event: stopped.append(True),), priority=True)
+        self.run_while(lambda: not stopped)
 
     def __repr__(self) -> str:
         return (
-            f"<Simulator t={self._now:.6g} pending={len(self._queue)} "
+            f"<Simulator t={self._now:.6g} pending={len(self._heap)} "
             f"processed={self.events_processed}>"
         )

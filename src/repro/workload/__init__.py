@@ -7,7 +7,6 @@ rule, Standard Workload Format I/O, and the open-system arrival process.
 """
 
 from . import models, stats_model
-from .arrivals import DiurnalRate, NHPPArrivalProcess
 from .characterize import (
     WorkloadCharacterization,
     characterize,
@@ -56,7 +55,6 @@ __all__ = [
     "multi_component_fraction",
     # generation
     "JobSpec", "JobFactory", "ArrivalProcess", "QueueRouter",
-    "DiurnalRate", "NHPPArrivalProcess",
     # swf
     "write_swf", "read_swf", "swf_header", "SWFFormatError",
 ]

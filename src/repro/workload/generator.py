@@ -36,9 +36,9 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["JobSpec", "JobFactory", "ArrivalProcess", "QueueRouter",
            "DEFAULT_DRAW_BATCH"]
 
-#: Default block size for prefetching random draws.  Block draws from a
+#: Block size for prefetching random draws.  Block draws from a
 #: ``block_equivalent`` distribution consume the generator's bit stream
-#: exactly like successive scalar draws, so any batch size (including 1,
+#: exactly like successive scalar draws, so any block size (including 1,
 #: which disables prefetching) yields byte-identical workloads — pinned
 #: by tests/test_determinism.py.
 DEFAULT_DRAW_BATCH = 256
@@ -88,8 +88,7 @@ class QueueRouter:
     """
 
     def __init__(self, weights: Sequence[float],
-                 rng: np.random.Generator,
-                 batch: Optional[int] = None):
+                 rng: np.random.Generator):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-D sequence")
@@ -99,9 +98,7 @@ class QueueRouter:
         self._cdf = np.cumsum(self.weights)
         self._cdf[-1] = 1.0
         self._rng = rng
-        if batch is None:
-            batch = DEFAULT_DRAW_BATCH
-        self._batch = max(1, int(batch))
+        self._batch = DEFAULT_DRAW_BATCH
         self._buf = np.empty(0)
         self._pos = 0
 
@@ -111,7 +108,7 @@ class QueueRouter:
         Uniform draws are prefetched in blocks; ``rng.random(n)``
         consumes the bit stream exactly like ``n`` scalar
         ``rng.random()`` calls, so the routed sequence is identical for
-        any batch size.
+        any block size.
         """
         pos = self._pos
         buf = self._buf
@@ -151,11 +148,10 @@ class JobFactory:
         Size of the submitting-user population; users are assigned with
         Zipf-like activity shares (0 disables the user model — every
         job gets user 0).
-    batch:
-        Block size for prefetched random draws (default
-        :data:`DEFAULT_DRAW_BATCH`); 1 disables prefetching.  Only
-        ``block_equivalent`` distributions are ever batched, so the job
-        stream is byte-identical for every batch size.
+
+    Random draws are prefetched in blocks of :data:`DEFAULT_DRAW_BATCH`,
+    only from ``block_equivalent`` distributions, so the job stream is
+    byte-identical for every block size.
     """
 
     def __init__(self,
@@ -166,8 +162,7 @@ class JobFactory:
                  extension_factor: float = stats_model.EXTENSION_FACTOR,
                  routing_weights: Sequence[float] = stats_model.BALANCED_WEIGHTS,
                  streams: Optional[StreamFactory] = None,
-                 num_users: int = 0,
-                 batch: Optional[int] = None):
+                 num_users: int = 0):
         if extension_factor < 1.0:
             raise ValueError(
                 f"extension factor must be >= 1, got {extension_factor!r}"
@@ -180,9 +175,7 @@ class JobFactory:
         streams = streams or StreamFactory(None)
         self._size_rng = streams.get("workload.sizes")
         self._service_rng = streams.get("workload.services")
-        if batch is None:
-            batch = DEFAULT_DRAW_BATCH
-        self._batch = max(1, int(batch))
+        self._batch = DEFAULT_DRAW_BATCH
         # Prefetch blocks only from distributions whose block draws are
         # provably stream-equivalent to scalar draws; everything else
         # (rejection samplers, mixtures) keeps the scalar path.
@@ -195,8 +188,7 @@ class JobFactory:
         self._service_buf = np.empty(0)
         self._service_pos = 0
         self.router = QueueRouter(routing_weights,
-                                  streams.get("workload.routing"),
-                                  batch=self._batch)
+                                  streams.get("workload.routing"))
         self.num_users = int(num_users)
         if self.num_users > 0:
             ranks = np.arange(1, self.num_users + 1, dtype=float)
@@ -314,15 +306,13 @@ class JobFactory:
 class ArrivalProcess:
     """Poisson job source driving a submit callback inside a simulation.
 
-    The source is direct-scheduled: each arrival is one lightweight
-    deferred callback on the calendar, with no generator-process
-    machinery per tick.  The event sequence matches the classic
-    process-based formulation exactly — one urgent initialisation event
-    at time 0, then per tick the job is submitted *before* the next
-    arrival is scheduled.  Interarrival draws are prefetched in blocks
+    Each arrival is one deferred callback on the event heap.  The event
+    sequence is one urgent initialisation event at time 0, then per tick
+    the job is submitted *before* the next arrival is scheduled.
+    Interarrival draws are prefetched in blocks
     (``rng.exponential(mean, n)`` consumes the bit stream exactly like
     ``n`` scalar draws), so arrival times are byte-identical for any
-    batch size.
+    block size.
 
     Parameters
     ----------
@@ -340,16 +330,12 @@ class ArrivalProcess:
         simulation ends).
     rng:
         Random generator for interarrival times.
-    batch:
-        Block size for prefetched interarrival draws (default
-        :data:`DEFAULT_DRAW_BATCH`); 1 disables prefetching.
     """
 
     def __init__(self, sim: "Simulator", factory: JobFactory, rate: float,
                  submit: Callable[[JobSpec], None],
                  limit: Optional[int] = None,
-                 rng: Optional[np.random.Generator] = None,
-                 batch: Optional[int] = None):
+                 rng: Optional[np.random.Generator] = None):
         if rate <= 0:
             raise ValueError(f"arrival rate must be positive, got {rate!r}")
         self.sim = sim
@@ -362,15 +348,13 @@ class ArrivalProcess:
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self.generated = 0
         self._mean_iat = 1.0 / self.rate
-        if batch is None:
-            batch = DEFAULT_DRAW_BATCH
-        self._batch = max(1, int(batch))
+        self._batch = DEFAULT_DRAW_BATCH
         self._iat_buf = np.empty(0)
         self._iat_pos = 0
         self._tick_callbacks = (self._tick,)
-        # Urgent init event at t=0, mirroring the initialisation event a
-        # process-based source would schedule — the scheduling sequence
-        # numbers of everything that follows are unchanged.
+        # Urgent init event at t=0: it arms the first arrival.  It
+        # consumes one sequence number, which the committed goldens and
+        # the events_* counters depend on.
         sim.defer(0.0, (self._arm,), priority=True)
 
     def _next_iat(self) -> float:

@@ -149,57 +149,6 @@ def test_ragged_termination_keeps_lanes_independent():
     assert len(set(gross)) == len(gross)
 
 
-# -- the placement kernels agree decision-for-decision ---------------------
-
-placement_space = st.lists(
-    st.tuples(
-        st.integers(min_value=1, max_value=64),
-        st.lists(st.integers(min_value=0, max_value=32),
-                 min_size=4, max_size=4),
-    ),
-    min_size=1, max_size=16,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(placement_space, st.sampled_from([16, 24, 32]))
-def test_worst_fit_batch_matches_scalar_kernel(cases, limit):
-    """worst_fit_batch == the scalar Worst Fit, lane for lane.
-
-    The per-lane engine memoizes the same decisions (its differential
-    pin is the whole-run tests above); this pins the vectorized kernel
-    itself so all three implementations stay mutually exact.
-    """
-    import numpy as np
-
-    from repro.core.placement import place_components
-    from repro.core.placement_batch import worst_fit_batch
-    from repro.workload.splitting import split_size
-
-    comp_rows = []
-    frees = []
-    expected = []
-    for size, free in cases:
-        comps = split_size(size, limit, 4)
-        comp_rows.append(list(comps) + [0] * (4 - len(comps)))
-        frees.append(free)
-        expected.append(place_components(comps, free, "worst-fit"))
-    fit, alloc = worst_fit_batch(
-        np.array(comp_rows, dtype=np.int64),
-        np.array(frees, dtype=np.int64),
-    )
-    for lane, want in enumerate(expected):
-        if want is None:
-            assert not fit[lane]
-            assert not alloc[lane].any()
-        else:
-            assert fit[lane]
-            totals = [0, 0, 0, 0]
-            for cluster, processors in want:
-                totals[cluster] += processors
-            assert alloc[lane].tolist() == totals
-
-
 # -- unsupported configurations fail loudly, never silently ----------------
 
 def test_unknown_policy_is_rejected():

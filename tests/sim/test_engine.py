@@ -1,14 +1,14 @@
-"""Unit tests for the event calendar and run control."""
+"""Contract tests for the event heap: ordering, scheduling and counters."""
 
 import pytest
 
-from repro.sim import (
-    EmptySchedule,
-    Event,
-    SchedulingError,
-    Simulator,
-    Timeout,
-)
+from repro.sim import SchedulingError, Simulator
+from repro.sim.engine import Callback
+
+
+def _recorder(sim, fired):
+    """A shared callback tuple appending ``(now, value)`` to ``fired``."""
+    return (lambda event: fired.append((sim.now, event.value)),)
 
 
 def test_clock_starts_at_initial_time():
@@ -16,98 +16,62 @@ def test_clock_starts_at_initial_time():
     assert Simulator(initial_time=5.5).now == 5.5
 
 
-def test_run_until_time_advances_clock_exactly():
-    sim = Simulator()
-    sim.timeout(3.0)
-    sim.run(until=10.0)
-    assert sim.now == 10.0
-
-
-def test_run_until_past_time_rejected():
-    sim = Simulator(initial_time=5.0)
-    with pytest.raises(SchedulingError):
-        sim.run(until=1.0)
-
-
-def test_run_drains_calendar_when_until_none():
-    sim = Simulator()
-    sim.timeout(1.0)
-    sim.timeout(7.0)
-    sim.run()
-    assert sim.now == 7.0
-
-
-def test_step_raises_on_empty_calendar():
-    with pytest.raises(EmptySchedule):
-        Simulator().step()
-
-
-def test_peek_reports_next_event_time():
-    sim = Simulator()
-    assert sim.peek() == float("inf")
-    sim.timeout(4.0)
-    sim.timeout(2.0)
-    assert sim.peek() == 2.0
-
-
 def test_events_fire_in_time_order():
     sim = Simulator()
     fired = []
+    record = _recorder(sim, fired)
     for delay in (5.0, 1.0, 3.0):
-        ev = sim.timeout(delay, value=delay)
-        ev.callbacks.append(lambda e: fired.append(e.value))
+        sim.defer(delay, record, delay)
     sim.run()
-    assert fired == [1.0, 3.0, 5.0]
+    assert fired == [(1.0, 1.0), (3.0, 3.0), (5.0, 5.0)]
 
 
 def test_simultaneous_events_fire_fifo():
     sim = Simulator()
     fired = []
+    record = _recorder(sim, fired)
     for tag in "abc":
-        ev = sim.timeout(1.0, value=tag)
-        ev.callbacks.append(lambda e: fired.append(e.value))
+        sim.defer(1.0, record, tag)
     sim.run()
-    assert fired == ["a", "b", "c"]
+    assert [value for _, value in fired] == ["a", "b", "c"]
 
 
-def test_negative_delay_rejected():
+def test_urgent_fires_before_normal_at_equal_time():
     sim = Simulator()
-    with pytest.raises(SchedulingError):
-        sim.timeout(-1.0)
-    with pytest.raises(SchedulingError):
-        sim.schedule(Event(sim), delay=-0.5)
-
-
-def test_run_until_event_returns_its_value():
-    sim = Simulator()
-    ev = sim.event()
-    sim.call_at(4.0, lambda: ev.succeed("payload"))
-    assert sim.run(until=ev) == "payload"
-    assert sim.now == 4.0
-
-
-def test_run_until_already_processed_event():
-    sim = Simulator()
-    ev = sim.event()
-    ev.succeed(11)
+    fired = []
+    record = _recorder(sim, fired)
+    sim.defer(2.0, record, "normal")
+    sim.defer(2.0, record, "urgent", priority=True)
+    sim.defer(1.0, record, "earlier")
     sim.run()
-    assert sim.run(until=ev) == 11
+    assert [value for _, value in fired] == ["earlier", "urgent", "normal"]
 
 
-def test_run_until_event_that_never_fires_raises():
+def test_defer_and_call_at_each_consume_one_sequence_number():
     sim = Simulator()
-    ev = sim.event()
-    sim.timeout(1.0)
-    with pytest.raises(SchedulingError):
-        sim.run(until=ev)
+    order = []
+    sim.call_at(1.0, lambda: order.append("call_at"))
+    assert sim.events_scheduled == 1
+    sim.defer(1.0, (lambda e: order.append("defer"),))
+    assert sim.events_scheduled == 2
+    sim.call_at(1.0, lambda: order.append("call_at2"))
+    assert sim.events_scheduled == 3
+    sim.run()
+    # Same time, same rank: scheduling order decides.
+    assert order == ["call_at", "defer", "call_at2"]
+    assert sim.events_processed == 3
 
 
-def test_run_until_failed_event_raises_its_exception():
+def test_call_at_arrival_fires_before_later_deferred_departure():
+    # The written equal-timestamp convention: a call_at scheduled at
+    # t=0 for t=1 precedes a departure deferred (later) for t=1.
     sim = Simulator()
-    ev = sim.event()
-    sim.call_at(2.0, lambda: ev.fail(RuntimeError("boom")))
-    with pytest.raises(RuntimeError, match="boom"):
-        sim.run(until=ev)
+    order = []
+    sim.call_at(1.0, lambda: order.append("arrival"))
+    sim.call_at(0.0, lambda: sim.defer(
+        1.0, (lambda e: order.append("departure"),)))
+    sim.run()
+    assert order == ["arrival", "departure"]
 
 
 def test_call_at_runs_function_at_absolute_time():
@@ -118,136 +82,136 @@ def test_call_at_runs_function_at_absolute_time():
     assert seen == [6.0]
 
 
+def test_negative_delay_rejected():
+    sim = Simulator()
+    with pytest.raises(SchedulingError):
+        sim.defer(-1.0, (lambda e: None,))
+    assert sim.events_scheduled == 0
+
+
 def test_call_at_in_past_rejected():
     sim = Simulator(initial_time=3.0)
     with pytest.raises(SchedulingError):
         sim.call_at(2.0, lambda: None)
+    assert sim.events_scheduled == 0
 
 
-def test_events_processed_counter():
+def test_run_until_past_time_rejected():
+    sim = Simulator(initial_time=5.0)
+    with pytest.raises(SchedulingError):
+        sim.run(until=1.0)
+
+
+def test_run_drains_heap_when_until_none():
     sim = Simulator()
-    sim.timeout(1.0)
-    sim.timeout(2.0)
+    sim.defer(1.0, (lambda e: None,))
+    sim.defer(7.0, (lambda e: None,))
     sim.run()
+    assert sim.now == 7.0
     assert sim.events_processed == 2
 
 
-def test_unhandled_failed_event_crashes_run():
+def test_run_until_advances_clock_exactly():
     sim = Simulator()
-    ev = sim.event()
-    ev.fail(ValueError("unnoticed"))
-    with pytest.raises(ValueError, match="unnoticed"):
-        sim.run()
+    sim.defer(3.0, (lambda e: None,))
+    sim.run(until=10.0)
+    assert sim.now == 10.0
+    # The stop event is one push and one pop, like any other event.
+    assert sim.events_scheduled == 2
+    assert sim.events_processed == 2
 
 
-def test_defused_failed_event_does_not_crash():
+def test_run_until_excludes_normal_events_at_the_horizon():
     sim = Simulator()
-    ev = sim.event()
-    ev.fail(ValueError("handled"))
-    ev.defuse()
-    sim.run()  # must not raise
-    assert sim.events_processed == 1
-
-
-def test_timeout_carries_value():
-    sim = Simulator()
-    ev = sim.timeout(1.0, value="v")
+    fired = []
+    record = _recorder(sim, fired)
+    sim.defer(5.0, record, "at-horizon")
+    sim.run(until=5.0)
+    assert fired == []
+    assert sim.now == 5.0
+    # Resuming processes it at the same instant.
     sim.run()
-    assert ev.value == "v"
-    assert ev.ok
+    assert fired == [(5.0, "at-horizon")]
 
 
-def test_repr_smoke():
+def test_run_until_is_resumable():
     sim = Simulator()
-    sim.timeout(1.0)
-    assert "pending=1" in repr(sim)
+    ticks = []
+
+    def tick(_event):
+        ticks.append(sim.now)
+        sim.defer(1.0, callbacks)
+
+    callbacks = (tick,)
+    sim.defer(1.0, callbacks)
+    sim.run(until=3.5)
+    assert ticks == [1.0, 2.0, 3.0]
+    sim.run(until=5.5)
+    assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert sim.now == 5.5
 
 
-def test_run_while_stops_on_predicate():
-    sim = Simulator()
-    seen = []
-    for t in (1.0, 2.0, 3.0, 4.0):
-        ev = sim.timeout(t, value=t)
-        ev.callbacks.append(lambda e: seen.append(e.value))
-    stopped = sim.run_while(lambda: len(seen) < 2)
-    assert stopped is True
-    assert seen == [1.0, 2.0]
+def test_run_until_now_is_noop():
+    sim = Simulator(initial_time=2.0)
+    fired = []
+    sim.defer(1.0, _recorder(sim, fired))
+    sim.run(until=2.0)
     assert sim.now == 2.0
-    # Remaining events stay on the calendar, resumable.
-    assert sim.run_while(lambda: True) is False
-    assert seen == [1.0, 2.0, 3.0, 4.0]
+    assert fired == []
 
 
-def test_run_while_returns_false_when_calendar_drains():
+def test_run_while_stops_on_predicate_and_resumes():
     sim = Simulator()
-    sim.timeout(1.0)
+    fired = []
+    record = _recorder(sim, fired)
+    for t in (1.0, 2.0, 3.0, 4.0):
+        sim.defer(t, record, t)
+    assert sim.run_while(lambda: len(fired) < 2) is True
+    assert [value for _, value in fired] == [1.0, 2.0]
+    assert sim.now == 2.0
+    # Remaining events stay on the heap.
     assert sim.run_while(lambda: True) is False
-    assert sim.events_processed == 1
-    # Draining never raises EmptySchedule, even on an empty calendar.
-    assert sim.run_while(lambda: True) is False
+    assert [value for _, value in fired] == [1.0, 2.0, 3.0, 4.0]
 
 
 def test_run_while_checks_predicate_before_each_event():
-    # Exactly like `while pred() and peek() != inf: step()` — an
-    # already-false predicate processes nothing.
     sim = Simulator()
-    sim.timeout(1.0)
+    calls = []
+    sim.defer(1.0, (lambda e: calls.append("event"),))
+    sim.defer(2.0, (lambda e: calls.append("event"),))
+
+    def predicate():
+        calls.append("check")
+        return True
+
+    assert sim.run_while(predicate) is False
+    assert calls == ["check", "event", "check", "event"]
+
+    sim = Simulator()
+    sim.defer(1.0, (lambda e: None,))
     assert sim.run_while(lambda: False) is True
     assert sim.events_processed == 0
 
 
-def test_run_while_propagates_failed_events():
+def test_run_while_returns_false_when_heap_drains():
     sim = Simulator()
-    ev = sim.event()
-    ev.fail(ValueError("boom"))
-    with pytest.raises(ValueError, match="boom"):
-        sim.run_while(lambda: True)
-
-
-def test_run_while_generic_event_list_fallback():
-    from repro.sim import CalendarQueue
-
-    sim = Simulator(event_list=CalendarQueue())
-    seen = []
-    for t in (1.0, 2.0, 3.0):
-        ev = sim.timeout(t, value=t)
-        ev.callbacks.append(lambda e: seen.append(e.value))
-    assert sim.run_while(lambda: len(seen) < 2) is True
-    assert seen == [1.0, 2.0]
+    sim.defer(1.0, (lambda e: None,))
     assert sim.run_while(lambda: True) is False
-    assert seen == [1.0, 2.0, 3.0]
+    assert sim.events_processed == 1
+    # Draining never raises, even on an empty heap.
+    assert sim.run_while(lambda: True) is False
 
 
-def test_defer_interleaves_with_timeouts_in_fifo_order():
+def test_callbacks_receive_the_value():
     sim = Simulator()
-    order = []
-    sim.timeout(1.0).callbacks.append(lambda e: order.append("timeout"))
-    sim.defer(1.0, (lambda e: order.append("defer"),))
-    sim.timeout(1.0).callbacks.append(lambda e: order.append("timeout2"))
+    seen = []
+    sim.defer(0.0, (lambda e: seen.append(e.value),
+                    lambda e: seen.append(type(e))), value="v")
     sim.run()
-    # Same time, same rank: insertion order decides.
-    assert order == ["timeout", "defer", "timeout2"]
-    assert sim.events_scheduled == 3
-    assert sim.events_processed == 3
+    assert seen == ["v", Callback]
 
 
-def test_defer_value_and_priority():
-    sim = Simulator()
-    order = []
-    sim.defer(0.0, (lambda e: order.append(("normal", e.value)),), value=1)
-    sim.defer(0.0, (lambda e: order.append(("urgent", e.value)),), value=2,
-              priority=True)
-    sim.run()
-    assert order == [("urgent", 2), ("normal", 1)]
-
-
-def test_defer_rejects_negative_delay():
-    sim = Simulator()
-    with pytest.raises(SchedulingError):
-        sim.defer(-1.0, (lambda e: None,))
-
-
-def test_defer_shared_callback_tuple_is_not_consumed():
+def test_shared_callback_tuple_is_reused_across_events():
     sim = Simulator()
     hits = []
     shared = (lambda e: hits.append(e.value),)
@@ -255,4 +219,10 @@ def test_defer_shared_callback_tuple_is_not_consumed():
         sim.defer(float(i), shared, value=i)
     sim.run()
     assert hits == [0, 1, 2]
-    assert shared  # the tuple itself is untouched
+
+
+def test_repr_smoke():
+    sim = Simulator()
+    sim.defer(1.0, (lambda e: None,))
+    assert "pending=1" in repr(sim)
+    assert "value=7" in repr(Callback((), 7))

@@ -2,103 +2,75 @@
 
 import pytest
 
-from repro.sim import EmptySchedule, Simulator
+from repro.sim import Simulator
 
 
-def test_zero_delay_timeout_fires_now_after_current_event():
+def test_zero_delay_defer_fires_now_after_current_event():
     sim = Simulator()
     order = []
 
-    def proc(sim):
-        order.append(("before", sim.now))
-        yield sim.timeout(0.0)
-        order.append(("after", sim.now))
+    def first(_event):
+        order.append(("first", sim.now))
+        sim.defer(0.0, (lambda e: order.append(("zero-delay", sim.now)),))
+        order.append(("first-done", sim.now))
 
-    sim.process(proc(sim))
+    sim.defer(1.0, (first,))
     sim.run()
-    assert order == [("before", 0.0), ("after", 0.0)]
+    assert order == [("first", 1.0), ("first-done", 1.0),
+                     ("zero-delay", 1.0)]
 
 
-def test_event_exactly_at_run_horizon_is_processed():
-    # run(until=t): events scheduled at exactly t... the stop event is
-    # urgent, so it fires BEFORE normal events at the same time — the
-    # horizon is exclusive for same-time normal events.
+def test_event_scheduled_during_callback_at_same_time_fires_after_pending():
+    # A zero-delay event gets a later sequence number than everything
+    # already pending at that instant, so it fires after them.
     sim = Simulator()
-    fired = []
-    ev = sim.timeout(5.0)
-    ev.callbacks.append(lambda e: fired.append(sim.now))
-    sim.run(until=5.0)
-    assert fired == []
-    assert sim.now == 5.0
-    # Continuing the run processes it.
+    order = []
+    sim.defer(1.0, (lambda e: sim.defer(
+        0.0, (lambda e2: order.append("spawned"),)),))
+    sim.defer(1.0, (lambda e: order.append("pending"),))
     sim.run()
-    assert fired == [5.0]
-
-
-def test_run_resumable_after_horizon():
-    sim = Simulator()
-    ticks = []
-
-    def ticker(sim):
-        while True:
-            yield sim.timeout(1.0)
-            ticks.append(sim.now)
-
-    sim.process(ticker(sim))
-    sim.run(until=3.5)
-    assert ticks == [1.0, 2.0, 3.0]
-    sim.run(until=5.5)
-    assert ticks == [1.0, 2.0, 3.0, 4.0, 5.0]
-
-
-def test_run_until_now_is_noop():
-    sim = Simulator(initial_time=2.0)
-    sim.timeout(1.0)
-    sim.run(until=2.0)
-    assert sim.now == 2.0
-
-
-def test_step_after_drain_raises():
-    sim = Simulator()
-    sim.timeout(1.0)
-    sim.run()
-    with pytest.raises(EmptySchedule):
-        sim.step()
+    assert order == ["pending", "spawned"]
 
 
 def test_massive_simultaneous_events_preserve_fifo():
     sim = Simulator()
     fired = []
+    record = (lambda e: fired.append(e.value),)
     for i in range(500):
-        ev = sim.timeout(1.0, value=i)
-        ev.callbacks.append(lambda e: fired.append(e.value))
+        if i % 2:
+            sim.defer(1.0, record, i)
+        else:
+            sim.call_at(1.0, lambda i=i: fired.append(i))
     sim.run()
     assert fired == list(range(500))
+    assert sim.events_scheduled == sim.events_processed == 500
 
 
-def test_events_processed_counter_includes_internal_events():
-    sim = Simulator()
-
-    def proc(sim):
-        yield sim.timeout(1.0)
-
-    sim.process(proc(sim))
-    sim.run()
-    # init event + timeout + termination event.
-    assert sim.events_processed == 3
-
-
-def test_nested_process_spawning_during_callbacks():
+def test_nested_scheduling_during_callbacks():
     sim = Simulator()
     spawned = []
 
-    def child(sim, depth):
-        yield sim.timeout(0.5)
+    def child(depth):
         spawned.append(depth)
         if depth < 5:
-            sim.process(child(sim, depth + 1))
+            sim.defer(0.5, (lambda e: child(depth + 1),))
 
-    sim.process(child(sim, 1))
+    sim.defer(0.5, (lambda e: child(1),))
     sim.run()
     assert spawned == [1, 2, 3, 4, 5]
     assert sim.now == pytest.approx(2.5)
+
+
+def test_urgent_event_scheduled_after_horizon_stop_fires_after_it():
+    # run(until=t) pushes its urgent stop entry when the run starts; an
+    # urgent entry pushed later for the same instant has a higher
+    # sequence number, so the run stops first.
+    sim = Simulator()
+    fired = []
+    sim.call_at(0.5, lambda: sim.defer(
+        0.5, (lambda e: fired.append(sim.now),), priority=True))
+    sim.run(until=1.0)
+    assert fired == []
+    assert sim.now == 1.0
+    sim.run()
+    assert fired == [1.0]

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.sim import (
     BatchMeans,
     DiscreteEmpirical,
-    Resource,
     Simulator,
     Tally,
     TimeWeighted,
@@ -23,56 +22,60 @@ delays = st.lists(
 )
 
 
-@given(delays)
-def test_events_always_processed_in_nondecreasing_time(ds):
+#: A random schedule: ``(delay, urgent, nested delay or None)`` per
+#: entry; a nested delay makes the callback defer a follow-up event.
+schedules = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
+                  allow_infinity=False),
+        st.booleans(),
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=100.0,
+                                       allow_nan=False)),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _run_schedule(schedule, rng=None):
+    """Run ``schedule``; the ``(time, tag)`` sequence of fired events."""
     sim = Simulator()
     seen = []
-    for d in ds:
-        ev = sim.timeout(d)
-        ev.callbacks.append(lambda e: seen.append(sim.now))
+
+    def fire(event):
+        tag, nested = event.value
+        seen.append((sim.now, tag))
+        if nested is not None:
+            jitter = rng.random() if rng is not None else 0.0
+            sim.defer(nested + jitter, callbacks, (f"{tag}+", None))
+
+    callbacks = (fire,)
+    for index, (delay, urgent, nested) in enumerate(schedule):
+        sim.defer(delay, callbacks, (str(index), nested), priority=urgent)
     sim.run()
-    assert seen == sorted(seen)
-    assert len(seen) == len(ds)
+    assert sim.events_processed == sim.events_scheduled == len(seen)
+    return seen
+
+
+@given(schedules)
+def test_events_always_processed_in_nondecreasing_time(schedule):
+    seen = _run_schedule(schedule)
+    times = [t for t, _ in seen]
+    assert times == sorted(times)
+    nested = sum(1 for _, _, n in schedule if n is not None)
+    assert len(seen) == len(schedule) + nested
 
 
 @given(delays)
-def test_clock_never_goes_backwards_through_processes(ds):
+def test_equal_time_events_fire_in_scheduling_order(ds):
     sim = Simulator()
-    times = []
-
-    def proc(sim, d):
-        yield sim.timeout(d)
-        times.append(sim.now)
-
-    for d in ds:
-        sim.process(proc(sim, d))
+    seen = []
+    record = (lambda e: seen.append((sim.now, e.value)),)
+    for index, d in enumerate(ds):
+        sim.defer(d, record, index)
     sim.run()
-    assert times == sorted(times)
-
-
-@given(
-    st.lists(st.integers(min_value=1, max_value=10), min_size=1, max_size=30),
-    st.integers(min_value=1, max_value=10),
-)
-def test_resource_conservation_under_arbitrary_request_patterns(units, cap):
-    sim = Simulator()
-    res = Resource(sim, cap)
-    grants = []
-    for u in units:
-        if u <= cap:
-            grants.append(res.request(u))
-        # Invariant must hold after every operation.
-        assert res.available + res.in_use == res.capacity
-        assert 0 <= res.available <= res.capacity
-    for g in [g for g in grants if g.satisfied]:
-        res.release(g)
-        assert res.available + res.in_use == res.capacity
-    # Everyone released → releasing the newly satisfied ones too until idle.
-    while any(g.satisfied for g in grants):
-        for g in grants:
-            if g.satisfied:
-                res.release(g)
-    assert res.available == res.capacity
+    # Sorting by (time, scheduling order) is exactly the fired order.
+    assert seen == sorted(seen)
 
 
 @given(
@@ -160,21 +163,10 @@ def test_discrete_empirical_invariants(masses):
     assert set(np.unique(draws)).issubset(set(float(v) for v in values))
 
 
-@given(st.integers(min_value=0, max_value=2**32 - 1), delays)
+@given(st.integers(min_value=0, max_value=2**32 - 1), schedules)
 @settings(max_examples=25)
-def test_simulation_is_deterministic_for_fixed_seed(seed, ds):
+def test_simulation_is_deterministic_for_fixed_seed(seed, schedule):
     def run_once():
-        sim = Simulator()
-        rng = np.random.default_rng(seed)
-        order = []
-
-        def proc(sim, d):
-            yield sim.timeout(d + rng.random())
-            order.append(sim.now)
-
-        for d in ds:
-            sim.process(proc(sim, d))
-        sim.run()
-        return order
+        return _run_schedule(schedule, np.random.default_rng(seed))
 
     assert run_once() == run_once()

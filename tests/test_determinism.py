@@ -15,12 +15,9 @@ from __future__ import annotations
 import json
 
 from repro.core import SimulationConfig, run_open_system
-from repro.core.system import MulticlusterSimulation
-from repro.sim.rng import StreamFactory
 from repro.sim.trace import Tracer
 from repro.workload import WORKLOADS, das_t_900
 from repro.workload import generator as generator_module
-from repro.workload.generator import ArrivalProcess, JobFactory
 
 
 def _one_run(seed: int) -> tuple[bytes, bytes]:
@@ -126,39 +123,3 @@ def test_batched_rng_byte_identical_to_scalar_draws(monkeypatch) -> None:
     batched = all_runs(257)
     assert scalar["GS"][0], "tracer recorded nothing; the runs did not execute"
     assert scalar == batched
-
-
-def test_direct_departures_byte_identical_to_timeout_events() -> None:
-    """defer()-scheduled departures == the Timeout/callback-list path.
-
-    ``MulticlusterSimulation(direct_departures=...)`` switches between
-    the lightweight deferred departure and the original per-job Timeout
-    event; both must produce the same event sequence, counters and
-    trace bytes.
-    """
-
-    def run(direct: bool) -> tuple[bytes, int, int]:
-        tracer = Tracer()
-        system = MulticlusterSimulation(
-            "LS", tracer=tracer, direct_departures=direct,
-        )
-        factory = JobFactory(
-            WORKLOADS["das-s-128"](), das_t_900(), 16,
-            streams=StreamFactory(3),
-        )
-        ArrivalProcess(
-            system.sim, factory, 0.02, system.submit, limit=400,
-            rng=StreamFactory(3).get("arrivals.iat"),
-        )
-        system.sim.run()  # drains once the arrival limit is reached
-        trace_bytes = "\n".join(
-            repr((record.time, record.kind, sorted(record.payload.items())))
-            for record in tracer
-        ).encode()
-        return (trace_bytes, system.sim.events_processed,
-                system.sim.events_scheduled)
-
-    fast = run(True)
-    reference = run(False)
-    assert fast[0], "tracer recorded nothing; the runs did not execute"
-    assert fast == reference
